@@ -733,9 +733,8 @@ func injectAndServe(cfg CampaignConfig, golden []uint64, app apps.App, rng *rand
 	for k, t := range inj.Targets {
 		addrs[k] = t.Addr
 	}
-	tracker := newAccessTracker(addrs)
-	as.AddAccessObserver(tracker)
-	traceInjection(tt, as, inj, addrs)
+	as.Watch(addrs)
+	traceInjection(tt, as, inj)
 	if cfg.TrialOpBudget > 0 {
 		// The budget counts post-injection operations only, and the
 		// observer is attached in the same order on both lifecycles
@@ -792,7 +791,7 @@ func injectAndServe(cfg CampaignConfig, golden []uint64, app apps.App, rng *rand
 			}
 		}
 	}
-	tr.Outcome = classify(crashed, tr.Incorrect, tracker.first)
+	tr.Outcome = classify(crashed, tr.Incorrect, as.FirstTouch())
 	// The run ends at the crash instant or after the final request —
 	// either way, the virtual clock has stopped advancing.
 	tr.EndedAt = as.Clock().Now()

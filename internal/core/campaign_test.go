@@ -332,37 +332,20 @@ func TestClassify(t *testing.T) {
 	tests := []struct {
 		crashed   bool
 		incorrect int
-		first     firstAccessKind
+		first     simmem.AccessKind
 		want      Outcome
 	}{
-		{true, 0, firstLoad, OutcomeCrash},
-		{true, 3, firstLoad, OutcomeCrash},
-		{false, 2, firstLoad, OutcomeIncorrect},
-		{false, 0, firstStore, OutcomeMaskedOverwrite},
-		{false, 0, firstLoad, OutcomeMaskedLogic},
-		{false, 0, firstNone, OutcomeMaskedLatent},
+		{true, 0, simmem.Load, OutcomeCrash},
+		{true, 3, simmem.Load, OutcomeCrash},
+		{false, 2, simmem.Load, OutcomeIncorrect},
+		{false, 0, simmem.Store, OutcomeMaskedOverwrite},
+		{false, 0, simmem.Load, OutcomeMaskedLogic},
+		{false, 0, 0, OutcomeMaskedLatent},
 	}
 	for i, tt := range tests {
 		if got := classify(tt.crashed, tt.incorrect, tt.first); got != tt.want {
 			t.Errorf("case %d: classify = %v, want %v", i, got, tt.want)
 		}
-	}
-}
-
-func TestAccessTracker(t *testing.T) {
-	tr := newAccessTracker([]simmem.Addr{100, 200})
-	tr.ObserveAccess(simmem.AccessEvent{Addr: 50, Len: 10, Kind: simmem.Load})
-	if tr.first != firstNone {
-		t.Error("non-covering access recorded")
-	}
-	tr.ObserveAccess(simmem.AccessEvent{Addr: 95, Len: 10, Kind: simmem.Store})
-	if tr.first != firstStore {
-		t.Error("covering store not recorded")
-	}
-	// First access is sticky.
-	tr.ObserveAccess(simmem.AccessEvent{Addr: 200, Len: 1, Kind: simmem.Load})
-	if tr.first != firstStore {
-		t.Error("first access overwritten")
 	}
 }
 
@@ -519,6 +502,31 @@ func TestCampaignRecordsIncorrectOccurrences(t *testing.T) {
 	for _, x := range all {
 		if x < 0 {
 			t.Fatalf("negative occurrence time %g", x)
+		}
+	}
+}
+
+// TestCampaignFirstTouchSplit pins small campaigns' full Fig. 1 outcome
+// counts, so a change to how the first touch of the injected bytes is
+// learned (the masked-by-overwrite / masked-by-logic split) cannot pass
+// unnoticed. Any change to these counts is a change to campaign results.
+func TestCampaignFirstTouchSplit(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		builder apps.Builder
+		want    [5]int // in Outcomes() order
+	}{
+		{"kvstore", kvBuilder(t, 3), [5]int{4, 1, 35, 5, 75}},
+		{"websearch", wsBuilder(t, 3), [5]int{1, 31, 6, 2, 80}},
+	} {
+		res, err := Run(CampaignConfig{Builder: c.builder, Spec: faults.SingleBitSoft, Trials: 120, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, o := range Outcomes() {
+			if got := res.Count(o); got != c.want[k] {
+				t.Errorf("%s: %v = %d, want %d", c.name, o, got, c.want[k])
+			}
 		}
 	}
 }

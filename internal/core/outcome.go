@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -78,73 +77,18 @@ func (o Outcome) Tolerated() bool {
 	}
 }
 
-// firstAccessKind distinguishes how injected bytes were first touched.
-type firstAccessKind int
-
-const (
-	firstNone firstAccessKind = iota
-	firstLoad
-	firstStore
-)
-
-// accessTracker watches the injected byte addresses and records the first
-// post-injection access kind, which separates masked-by-overwrite from
-// masked-by-logic. It observes every access of the trial, so the miss
-// path must be O(1): the handful of injected addresses are kept as a
-// sorted slice bounded by [min, max], and the overwhelming majority of
-// accesses are rejected by the two bound comparisons alone.
-type accessTracker struct {
-	targets  []simmem.Addr // sorted ascending
-	min, max simmem.Addr   // inclusive bounds of targets; min > max when empty
-	first    firstAccessKind
-}
-
-var _ simmem.AccessObserver = (*accessTracker)(nil)
-
-func newAccessTracker(addrs []simmem.Addr) *accessTracker {
-	t := &accessTracker{
-		targets: append([]simmem.Addr(nil), addrs...),
-		min:     1,
-		max:     0,
-	}
-	sort.Slice(t.targets, func(i, j int) bool { return t.targets[i] < t.targets[j] })
-	if n := len(t.targets); n > 0 {
-		t.min = t.targets[0]
-		t.max = t.targets[n-1]
-	}
-	return t
-}
-
-// ObserveAccess implements simmem.AccessObserver.
-func (t *accessTracker) ObserveAccess(ev simmem.AccessEvent) {
-	if t.first != firstNone {
-		return
-	}
-	end := ev.Addr + simmem.Addr(ev.Len)
-	if end <= t.min || ev.Addr > t.max {
-		return
-	}
-	// First target >= ev.Addr; a hit iff it falls before the access end.
-	i := sort.Search(len(t.targets), func(i int) bool { return t.targets[i] >= ev.Addr })
-	if i < len(t.targets) && t.targets[i] < end {
-		if ev.Kind == simmem.Store {
-			t.first = firstStore
-		} else {
-			t.first = firstLoad
-		}
-	}
-}
-
-// classify maps a finished trial's observations onto the taxonomy.
-func classify(crashed bool, incorrect int, first firstAccessKind) Outcome {
+// classify maps a finished trial's observations onto the taxonomy; first
+// is the kind of the first access to touch the injected bytes (0 if none
+// did), as recorded by the address space's first-touch watch.
+func classify(crashed bool, incorrect int, first simmem.AccessKind) Outcome {
 	switch {
 	case crashed:
 		return OutcomeCrash
 	case incorrect > 0:
 		return OutcomeIncorrect
-	case first == firstStore:
+	case first == simmem.Store:
 		return OutcomeMaskedOverwrite
-	case first == firstLoad:
+	case first == simmem.Load:
 		return OutcomeMaskedLogic
 	default:
 		return OutcomeMaskedLatent

@@ -174,24 +174,58 @@ func NewShardManifest(meta JournalMeta, spec ShardSpec, journalName string, res 
 }
 
 // WriteManifest writes the manifest to path, stamping the stream id and
-// schema version. The write is atomic (temp file + rename) so a merge
-// scanning the directory never reads a torn manifest.
+// schema version. The write is an atomic replace (writeJSONAtomic) so a
+// merge scanning the directory never reads a torn manifest.
 func WriteManifest(path string, m ShardManifest) error {
 	m.SchemaVersion = ManifestSchemaVersion
 	m.Stream = ManifestStream
-	b, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("core: encoding shard manifest: %w", err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("core: writing shard manifest: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := writeJSONAtomic(path, m); err != nil {
 		return fmt.Errorf("core: writing shard manifest: %w", err)
 	}
 	return nil
+}
+
+// writeJSONAtomic replaces path crash-safely with v as indented JSON
+// plus a trailing newline: it writes a sibling .tmp file, syncs and
+// closes it, renames it over path, and syncs the parent directory so the
+// rename itself is durable. A reader sees the previous file or the new
+// one, never a torn mix, and every failure path removes the temp file,
+// leaving the previous file untouched.
+func writeJSONAtomic(path string, v any) (err error) {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}()
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	err = enc.Encode(v)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err = os.Rename(tmp, path); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // ReadManifest reads and validates one shard manifest: stream, schema

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -128,6 +129,50 @@ func TestManifestRoundTrip(t *testing.T) {
 	if got.TrialLo != lo || got.TrialHi != hi {
 		t.Fatalf("manifest range [%d,%d), want [%d,%d)", got.TrialLo, got.TrialHi, lo, hi)
 	}
+}
+
+// TestWriteJSONAtomicFailureKeepsPrevious: a write that fails, or a
+// rename that fails, leaves the previous file byte-identical and no temp
+// file behind; a successful write replaces the file.
+func TestWriteJSONAtomicFailureKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "record.json")
+	if err := os.WriteFile(path, []byte("previous\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	noTemp := func(target, when string) {
+		t.Helper()
+		if _, err := os.Stat(target + ".tmp"); !os.IsNotExist(err) {
+			t.Errorf("%s: temp file left behind (stat err %v)", when, err)
+		}
+	}
+	// JSON cannot encode an infinity, so the write fails after the temp
+	// file was created.
+	if err := writeJSONAtomic(path, math.Inf(1)); err == nil {
+		t.Fatal("writing an unencodable value succeeded")
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != "previous\n" {
+		t.Fatalf("failed write changed the previous file: %q, %v", b, err)
+	}
+	noTemp(path, "failed write")
+
+	// A non-empty directory cannot be renamed over.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeJSONAtomic(blocked, ShardStatus{}); err == nil {
+		t.Fatal("rename over a non-empty directory succeeded")
+	}
+	noTemp(blocked, "failed rename")
+
+	if err := writeJSONAtomic(path, map[string]int{"a": 1}); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := os.ReadFile(path); string(b) != "{\n  \"a\": 1\n}\n" {
+		t.Errorf("replaced file = %q", b)
+	}
+	noTemp(path, "successful write")
 }
 
 // TestManifestRejectsTampering: a manifest whose campaign identity was

@@ -115,22 +115,13 @@ func StatusPathFor(journalPath string) string {
 }
 
 // WriteStatus writes the status record to path, stamping the stream id
-// and schema version. Like WriteManifest the write is atomic (temp file
-// + rename), so a tailing observer never reads a torn record; each
-// heartbeat simply replaces the last.
+// and schema version. Like WriteManifest the write is an atomic replace
+// (writeJSONAtomic), so a tailing observer never reads a torn record;
+// each heartbeat simply replaces the last.
 func WriteStatus(path string, st ShardStatus) error {
 	st.SchemaVersion = StatusSchemaVersion
 	st.Stream = StatusStream
-	b, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return fmt.Errorf("core: encoding shard status: %w", err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("core: writing shard status: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := writeJSONAtomic(path, st); err != nil {
 		return fmt.Errorf("core: writing shard status: %w", err)
 	}
 	return nil

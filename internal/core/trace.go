@@ -15,33 +15,32 @@ import (
 )
 
 // traceAccessObserver emits one access_faulty event for every
-// application load/store overlapping an injected byte. Unlike
-// accessTracker (which stops at the first hit, because only the first
-// consumption matters for classification), it reports every consumption,
-// subject to the tracer's per-trial bulk cap.
+// application load/store overlapping an injected byte, using the address
+// space's first-touch watch (armed on the injected bytes) as the hit
+// test. Unlike the watch's own record (only the first consumption
+// matters for classification), it reports every consumption, subject to
+// the tracer's per-trial bulk cap.
 type traceAccessObserver struct {
-	tt      *evtrace.TrialTracer
-	targets []simmem.Addr
+	tt *evtrace.TrialTracer
+	as *simmem.AddressSpace
 }
 
 var _ simmem.AccessObserver = (*traceAccessObserver)(nil)
 
 // ObserveAccess implements simmem.AccessObserver.
 func (o *traceAccessObserver) ObserveAccess(ev simmem.AccessEvent) {
-	for _, a := range o.targets {
-		if a >= ev.Addr && a < ev.Addr+simmem.Addr(ev.Len) {
-			o.tt.Emit(evtrace.Event{
-				Kind:       evtrace.KindAccessFaulty,
-				VTNanos:    int64(ev.Time),
-				Addr:       uint64(ev.Addr),
-				Len:        ev.Len,
-				Access:     ev.Kind.String(),
-				Region:     ev.Region.Name(),
-				RegionKind: ev.Region.Kind().String(),
-			})
-			return
-		}
+	if !o.as.Watched(ev.Addr, ev.Len) {
+		return
 	}
+	o.tt.Emit(evtrace.Event{
+		Kind:       evtrace.KindAccessFaulty,
+		VTNanos:    int64(ev.Time),
+		Addr:       uint64(ev.Addr),
+		Len:        ev.Len,
+		Access:     ev.Kind.String(),
+		Region:     ev.Region.Name(),
+		RegionKind: ev.Region.Kind().String(),
+	})
 }
 
 // traceECCObserver forwards protection-code events: corrections,
@@ -78,8 +77,9 @@ func (o *traceECCObserver) ObserveECC(ev simmem.ECCEvent) {
 }
 
 // traceInjection emits one inject event per corrupted byte and registers
-// the trace observers on the trial's address space.
-func traceInjection(tt *evtrace.TrialTracer, as *simmem.AddressSpace, inj inject.Injection, addrs []simmem.Addr) {
+// the trace observers on the trial's address space, whose watch must
+// already be armed on the injected bytes.
+func traceInjection(tt *evtrace.TrialTracer, as *simmem.AddressSpace, inj inject.Injection) {
 	if tt == nil {
 		return
 	}
@@ -95,7 +95,7 @@ func traceInjection(tt *evtrace.TrialTracer, as *simmem.AddressSpace, inj inject
 			RegionKind: inj.Region.Kind().String(),
 		})
 	}
-	as.AddAccessObserver(&traceAccessObserver{tt: tt, targets: addrs})
+	as.AddAccessObserver(&traceAccessObserver{tt: tt, as: as})
 	as.AddECCObserver(&traceECCObserver{tt: tt})
 }
 

@@ -168,9 +168,9 @@ func TestTraceFlightRecorderDumps(t *testing.T) {
 }
 
 func TestNilTracerNoAllocsOnAccess(t *testing.T) {
-	// The campaign's untraced hot path: a Load through the observer fan-out
-	// with the classification accessTracker registered and no tracer. It
-	// must not allocate — tracing must cost nothing when off.
+	// The campaign's untraced hot path: a Load with the first-touch watch
+	// armed on an injected byte and no tracer (so no access observers).
+	// It must not allocate — tracing must cost nothing when off.
 	as, err := simmem.New(simmem.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -179,10 +179,13 @@ func TestNilTracerNoAllocsOnAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	as.AddAccessObserver(newAccessTracker([]simmem.Addr{r.Base() + 128}))
+	as.Watch([]simmem.Addr{r.Base() + 128})
 	buf := make([]byte, 8)
 	allocs := testing.AllocsPerRun(1000, func() {
 		if err := as.Load(r.Base()+64, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := as.Load(r.Base()+124, buf); err != nil { // covers the watched byte
 			t.Fatal(err)
 		}
 	})

@@ -1,4 +1,7 @@
-// Accessor: the batched region-access front end of the memory path.
+// Accessor: the one memory-access API, and the batched region-access
+// front end of the memory path. An AddressSpace embeds a default
+// Accessor, so as.Load, as.Store and the typed helpers are this type's
+// methods, promoted.
 //
 // The three applications generate long runs of same-region accesses,
 // but the runs interleave — every loop iteration touches both its
@@ -21,6 +24,16 @@
 // the current region table). The cache never needs flushing, including
 // across Snapshot/Restore (which restores page contents, not the
 // region layout).
+//
+// First-touch watch: every successful Load and Store also tests its
+// byte range against the address space's watch set (Watch), recording
+// whether a load or a store first touched the watched bytes — the
+// masked-by-logic / masked-by-overwrite split of the outcome taxonomy.
+// The test sits here, on the application's byte ranges, rather than in
+// the tainted-word path below: a no-ECC soft flip leaves its granule
+// untainted, and with the cache model on, memory sees 64-byte line
+// fills rather than the bytes the application asked for. Both would
+// misattribute the first touch.
 
 package simmem
 
@@ -28,6 +41,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Accessor is an independent access handle onto an AddressSpace with
@@ -39,6 +53,10 @@ type Accessor struct {
 	as   *AddressSpace
 	last *Region
 }
+
+// accessor lets AddressSpace embed its default Accessor under an
+// unexported field name.
+type accessor = Accessor
 
 // NewAccessor returns an accessor with a cold region cache.
 func (as *AddressSpace) NewAccessor() *Accessor {
@@ -77,7 +95,8 @@ func (a *Accessor) locate(addr Addr, n int) (*Region, error) {
 // Load reads len(buf) bytes at addr through the full memory path:
 // stuck-at faults are sensed, protected regions decode every covered
 // (tainted) codeword — possibly correcting, possibly raising a machine
-// check — and access observers are notified.
+// check — and the first-touch watch and access observers see the
+// access.
 func (a *Accessor) Load(addr Addr, buf []byte) error {
 	as := a.as
 	r, err := a.locate(addr, len(buf))
@@ -98,7 +117,7 @@ func (a *Accessor) Load(addr Addr, buf []byte) error {
 		as.fastLoads++
 	}
 	as.counters.Loads++
-	as.notifyAccess(AccessEvent{Addr: addr, Len: len(buf), Kind: Load, Time: as.clock.Now(), Region: r})
+	as.recordAccess(addr, len(buf), Load, r)
 	return nil
 }
 
@@ -126,12 +145,55 @@ func (a *Accessor) Store(addr Addr, data []byte) error {
 		return err
 	}
 	as.counters.Stores++
-	as.notifyAccess(AccessEvent{Addr: addr, Len: len(data), Kind: Store, Time: as.clock.Now(), Region: r})
+	as.recordAccess(addr, len(data), Store, r)
 	return nil
 }
 
-// Typed accessors. All use little-endian byte order, like their
-// AddressSpace counterparts.
+// recordAccess runs after every successful application access: it
+// records the first touch of a watched byte, then fans the access out
+// to the observers (building no event when there are none).
+func (as *AddressSpace) recordAccess(addr Addr, n int, kind AccessKind, r *Region) {
+	if as.firstTouch == 0 && as.Watched(addr, n) {
+		as.firstTouch = kind
+	}
+	if len(as.accessObs) == 0 {
+		return
+	}
+	ev := AccessEvent{Addr: addr, Len: n, Kind: kind, Time: as.clock.Now(), Region: r}
+	for _, o := range as.accessObs {
+		o.ObserveAccess(ev)
+	}
+}
+
+// Watch arms the per-trial first-touch watch on addrs, replacing any
+// earlier watch and forgetting its recorded touch; Watch(nil) disarms
+// it. The addresses are copied. Snapshot.Restore clears the watch.
+func (as *AddressSpace) Watch(addrs []Addr) {
+	as.watch = append(as.watch[:0], addrs...)
+	slices.Sort(as.watch)
+	as.watchLo, as.watchHi, as.firstTouch = 0, 0, 0
+	if n := len(as.watch); n > 0 {
+		as.watchLo, as.watchHi = as.watch[0], as.watch[n-1]+1
+	}
+}
+
+// FirstTouch returns the kind of the first successful Load or Store
+// that covered a watched byte since Watch, or 0 if none has.
+func (as *AddressSpace) FirstTouch() AccessKind { return as.firstTouch }
+
+// Watched reports whether the n-byte range at addr covers a watched
+// byte. Almost every access is rejected by the two bound comparisons.
+func (as *AddressSpace) Watched(addr Addr, n int) bool {
+	end := addr + Addr(n)
+	if end <= as.watchLo || addr >= as.watchHi {
+		return false
+	}
+	// First target >= addr; a hit iff it falls before the access end.
+	i, _ := slices.BinarySearch(as.watch, addr)
+	return i < len(as.watch) && as.watch[i] < end
+}
+
+// Typed accessors. All use little-endian byte order.
 
 // LoadU64 loads a 64-bit value.
 func (a *Accessor) LoadU64(addr Addr) (uint64, error) {

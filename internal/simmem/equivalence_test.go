@@ -61,10 +61,11 @@ type eqSpace struct {
 // layout (private/heap/stack).
 func newEqSpace(t *testing.T, codec simmem.Codec, cacheLines int, fast bool) *eqSpace {
 	t.Helper()
-	as, err := simmem.New(simmem.Config{PageSize: 256, DisableFastPath: !fast})
+	as, err := simmem.New(simmem.Config{PageSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
+	as.SetFastPath(fast)
 	specs := []simmem.RegionSpec{
 		{Name: "private", Kind: simmem.RegionPrivate, Size: 1024, Backed: true, Codec: codec},
 		{Name: "heap", Kind: simmem.RegionHeap, Size: 1024, Codec: codec},
@@ -235,8 +236,10 @@ func compareEqSpaces(t *testing.T, fastS, slowS *eqSpace) {
 	if fh != sh || fm != sm || fw != sw {
 		t.Errorf("cache stats diverged: fast=%d/%d/%d slow=%d/%d/%d", fh, fm, fw, sh, sm, sw)
 	}
-	if f, s := fastS.as.TaintedPages(), slowS.as.TaintedPages(); f != s {
-		t.Errorf("tainted pages diverged: fast=%d slow=%d", f, s)
+	fp, _ := fastS.as.TaintStats()
+	sp, _ := slowS.as.TaintStats()
+	if fp != sp {
+		t.Errorf("tainted pages diverged: fast=%d slow=%d", fp, sp)
 	}
 	if f, s := len(fastS.log.entries), len(slowS.log.entries); f != s {
 		t.Fatalf("event counts diverged: fast=%d slow=%d", f, s)
@@ -271,7 +274,7 @@ func compareEqSpaces(t *testing.T, fastS, slowS *eqSpace) {
 		t.Error("fast space never took the fast path; the differential test is vacuous")
 	}
 	if n := slowS.as.FastPathLoads(); n != 0 {
-		t.Errorf("slow space took the fast path %d times; DisableFastPath is broken", n)
+		t.Errorf("slow space took the fast path %d times; SetFastPath(false) is broken", n)
 	}
 }
 

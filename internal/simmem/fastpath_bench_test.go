@@ -59,7 +59,7 @@ func taintAll(b *testing.B, as *simmem.AddressSpace, r *simmem.Region, codec sim
 			b.Fatal(err)
 		}
 	}
-	if got := as.TaintedPages(); got != r.PageCount() {
+	if got, _ := as.TaintStats(); got != r.PageCount() {
 		b.Fatalf("tainted %d of %d pages", got, r.PageCount())
 	}
 }

@@ -9,7 +9,7 @@ func pageTainted(r *Region, pi int) bool { return r.pages[pi].anyTaint }
 
 func TestTaintTransitions(t *testing.T) {
 	as, r := newProtectedAS(t, replicaCodec{}, nil)
-	if got := as.TaintedPages(); got != 0 {
+	if got, _ := as.TaintStats(); got != 0 {
 		t.Fatalf("fresh space has %d tainted pages, want 0", got)
 	}
 
@@ -32,8 +32,8 @@ func TestTaintTransitions(t *testing.T) {
 	if !pageTainted(r, 2) {
 		t.Error("StickBit did not taint the page")
 	}
-	if got := as.TaintedPages(); got != 3 {
-		t.Fatalf("TaintedPages = %d, want 3", got)
+	if got, _ := as.TaintStats(); got != 3 {
+		t.Fatalf("tainted pages = %d, want 3", got)
 	}
 
 	// An ordinary store re-encodes the touched words but cannot prove the
@@ -114,14 +114,14 @@ func TestTaintSnapshotRestore(t *testing.T) {
 	if err := as.FlipBit(r.Base(), 0); err != nil {
 		t.Fatalf("FlipBit: %v", err)
 	}
-	if as.TaintedPages() != 1 {
-		t.Fatalf("TaintedPages = %d, want 1", as.TaintedPages())
+	if got, _ := as.TaintStats(); got != 1 {
+		t.Fatalf("tainted pages = %d, want 1", got)
 	}
 	if _, err := snap.Restore(); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if as.TaintedPages() != 0 {
-		t.Errorf("restore left %d tainted pages, want 0", as.TaintedPages())
+	if got, _ := as.TaintStats(); got != 0 {
+		t.Errorf("restore left %d tainted pages, want 0", got)
 	}
 
 	// Capture a tainted state, clean it, and restore: the taint (and the
@@ -133,14 +133,14 @@ func TestTaintSnapshotRestore(t *testing.T) {
 	if _, _, err := r.ScrubPage(0, true); err != nil {
 		t.Fatalf("ScrubPage: %v", err)
 	}
-	if as.TaintedPages() != 0 {
-		t.Fatalf("scrub left %d tainted pages, want 0", as.TaintedPages())
+	if got, _ := as.TaintStats(); got != 0 {
+		t.Fatalf("scrub left %d tainted pages, want 0", got)
 	}
 	if _, err := snap.Restore(); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if as.TaintedPages() != 1 {
-		t.Errorf("restore rebuilt %d tainted pages, want 1", as.TaintedPages())
+	if got, _ := as.TaintStats(); got != 1 {
+		t.Errorf("restore rebuilt %d tainted pages, want 1", got)
 	}
 	var b [1]byte
 	if err := as.ReadRaw(r.Base(), b[:]); err != nil {
@@ -340,7 +340,7 @@ func TestScratchReentrancy(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("recovered load = %x, want %x", got, want)
 	}
-	if as.TaintedPages() != 0 {
+	if got, _ := as.TaintStats(); got != 0 {
 		t.Errorf("page still tainted after full-word restore, want clean")
 	}
 	c := as.Counters()

@@ -12,12 +12,19 @@
 // flips corrupt the actual bytes those applications parse and traverse.
 // Crashes, incorrect results, and masking then emerge from real execution
 // rather than from a closed-form model.
+//
+// Accessor is the one access API; an AddressSpace embeds a default one,
+// so as.Load, as.Store and the typed helpers are Accessor's methods. The
+// Accessor also keeps the per-trial first-touch watch (Watch, FirstTouch):
+// whether the injected bytes were first loaded or first overwritten, the
+// masked-by-logic / masked-by-overwrite split of the outcome taxonomy. It
+// is checked there, on the application's byte ranges, because the
+// tainted-word path below misses no-ECC soft flips and, with the cache
+// model on, sees only line fills (accessor.go).
 package simmem
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 	"math/rand"
 	"sync"
@@ -72,12 +79,6 @@ type Config struct {
 	// memory controllers, corrections are made on the fly and the
 	// erroneous cells keep their contents until overwritten.
 	ScrubOnCorrect bool
-	// DisableFastPath turns off the clean-page fast path, forcing every
-	// access through per-byte sensing and per-word decoding. The fast
-	// path is bit-identical to the slow path (see the taint invariant in
-	// DESIGN.md); this knob exists so equivalence tests and benchmarks
-	// can drive the reference slow path over identical workloads.
-	DisableFastPath bool
 }
 
 // Counters aggregates access and protection statistics for an address
@@ -94,6 +95,11 @@ type Counters struct {
 // concurrent use; characterization campaigns create one address space per
 // trial goroutine.
 type AddressSpace struct {
+	// accessor is the default access handle: its Load/Store and typed
+	// methods (accessor.go) are promoted, so they are the AddressSpace's
+	// access API too. Additional independent accessors come from
+	// NewAccessor.
+	accessor
 	pageSize       int
 	pageShift      int // log2(pageSize); page size is a validated power of two
 	clock          *Clock
@@ -104,8 +110,8 @@ type AddressSpace struct {
 	counters       Counters
 	cache          *cache    // nil unless EnableCache was called
 	snap           *Snapshot // active capture (snapshot.go), nil until Snapshot
-	// fastPath gates the clean-word fast path (on unless
-	// Config.DisableFastPath); fastLoads counts load operations (Load
+	// fastPath gates the clean-word fast path (on unless SetFastPath
+	// turns it off); fastLoads counts load operations (Load
 	// calls and cache-line fills) it served without decoding a word or
 	// sensing a byte, and fastWords counts the individual granules bulk-
 	// copied that way (partially-fast loads advance fastWords but not
@@ -114,12 +120,16 @@ type AddressSpace struct {
 	fastPath  bool
 	fastLoads uint64
 	fastWords uint64
-	// acc is the default accessor behind the AddressSpace-level
-	// Load/Store API; fillAcc serves cache-line fills so fill lookups
-	// never thrash an application accessor's one-entry region cache.
-	// Additional independent accessors come from NewAccessor.
-	acc     Accessor
+	// fillAcc serves cache-line fills so fill lookups never thrash an
+	// application accessor's one-entry region cache.
 	fillAcc Accessor
+	// The per-trial first-touch watch (see Watch): sorted target
+	// addresses, their half-open bounds [watchLo, watchHi) — both zero
+	// when nothing is watched — and the kind of the first access that
+	// covered a target (0 until one does).
+	watch            []Addr
+	watchLo, watchHi Addr
+	firstTouch       AccessKind
 	// Reusable scratch for the word/check (and raw-write widening)
 	// buffers of the decode/encode paths. scratchBusy guards against
 	// reentrancy: an MC handler or observer that re-enters the memory
@@ -152,18 +162,18 @@ func New(cfg Config) (*AddressSpace, error) {
 		pageShift:      bits.TrailingZeros(uint(cfg.PageSize)),
 		clock:          cfg.Clock,
 		scrubOnCorrect: cfg.ScrubOnCorrect,
-		fastPath:       !cfg.DisableFastPath,
+		fastPath:       true,
 	}
-	as.acc.as = as
+	as.accessor.as = as
 	as.fillAcc.as = as
 	return as, nil
 }
 
 // SetFastPath enables or disables the clean-page fast path and returns
-// the previous setting. Both settings produce bit-identical data,
-// counters, events, and faults; differential tests and benchmarks use
-// this to compare the two paths on a space built by code that does not
-// expose Config.DisableFastPath.
+// the previous setting. The fast path is on by default. Both settings
+// produce bit-identical data, counters, events, and faults (see the
+// taint invariant in DESIGN.md); differential tests and benchmarks turn
+// it off to drive the reference slow path over identical workloads.
 func (as *AddressSpace) SetFastPath(on bool) bool {
 	prev := as.fastPath
 	as.fastPath = on
@@ -182,22 +192,10 @@ func (as *AddressSpace) FastPathLoads() uint64 { return as.fastLoads }
 // FastPathLoads.
 func (as *AddressSpace) FastPathWords() uint64 { return as.fastWords }
 
-// TaintedPages returns the number of pages with at least one tainted
-// granule (granules whose sensed contents are not known to decode
-// clean, forcing accesses through the full decode path).
-func (as *AddressSpace) TaintedPages() int {
-	p, _ := as.TaintStats()
-	return p
-}
-
-// TaintedWords returns the number of tainted granules across all
-// regions.
-func (as *AddressSpace) TaintedWords() int {
-	_, w := as.TaintStats()
-	return w
-}
-
-// TaintStats returns the tainted page and granule counts in one pass.
+// TaintStats returns the number of pages with at least one tainted
+// granule and the number of tainted granules across all regions, in one
+// pass. A tainted granule's sensed contents are not known to decode
+// clean, which forces accesses through the full decode path.
 func (as *AddressSpace) TaintStats() (pages, words int) {
 	for _, r := range as.regions {
 		for _, p := range r.pages {
@@ -734,26 +732,6 @@ func (as *AddressSpace) lookupRegion(addr Addr) *Region {
 	return nil
 }
 
-// findRegion locates the region containing addr through the default
-// accessor's one-entry cache (see Accessor in accessor.go).
-func (as *AddressSpace) findRegion(addr Addr) *Region {
-	return as.acc.findRegion(addr)
-}
-
-// locate resolves an access of n bytes at addr through the default
-// accessor.
-func (as *AddressSpace) locate(addr Addr, n int) (*Region, error) {
-	return as.acc.locate(addr, n)
-}
-
-// Load reads len(buf) bytes at addr through the full memory path (via
-// the default accessor): stuck-at faults are sensed, protected regions
-// decode every covered codeword (possibly correcting, possibly raising
-// a machine check), and access observers are notified.
-func (as *AddressSpace) Load(addr Addr, buf []byte) error {
-	return as.acc.Load(addr, buf)
-}
-
 // senseInto copies len(buf) bytes starting at region offset off into
 // buf, applying stuck-at masks. On the fast path every untainted
 // granule (which by the invariant carries no stuck-at state) is a bulk
@@ -928,15 +906,6 @@ func (as *AddressSpace) handleUncorrectable(r *Region, wo int, word, check []byt
 	return v, nil
 }
 
-// Store writes data at addr through the full memory path (via the
-// default accessor). Stores to read-only regions fault. In protected
-// regions, partial codewords are read-modify-written: the untouched
-// bytes are decoded first (which can itself raise a machine check),
-// then the whole word is re-encoded.
-func (as *AddressSpace) Store(addr Addr, data []byte) error {
-	return as.acc.Store(addr, data)
-}
-
 // writeBytes writes raw bytes at region offset off (no encoding).
 func (r *Region) writeBytes(off int, data []byte) {
 	ps := r.as.pageSize
@@ -1044,111 +1013,11 @@ func (as *AddressSpace) storeEncoded(r *Region, off int, data []byte) error {
 	return nil
 }
 
-// notifyAccess fans an access event out to the observers.
-func (as *AddressSpace) notifyAccess(ev AccessEvent) {
-	for _, o := range as.accessObs {
-		o.ObserveAccess(ev)
-	}
-}
-
 // notifyECC fans an ECC event out to the observers.
 func (as *AddressSpace) notifyECC(ev ECCEvent) {
 	for _, o := range as.eccObs {
 		o.ObserveECC(ev)
 	}
-}
-
-// Typed accessors. All use little-endian byte order.
-
-// LoadU64 loads a 64-bit value.
-func (as *AddressSpace) LoadU64(addr Addr) (uint64, error) {
-	var b [8]byte
-	if err := as.Load(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-// StoreU64 stores a 64-bit value.
-func (as *AddressSpace) StoreU64(addr Addr, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return as.Store(addr, b[:])
-}
-
-// LoadU32 loads a 32-bit value.
-func (as *AddressSpace) LoadU32(addr Addr) (uint32, error) {
-	var b [4]byte
-	if err := as.Load(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-// StoreU32 stores a 32-bit value.
-func (as *AddressSpace) StoreU32(addr Addr, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return as.Store(addr, b[:])
-}
-
-// LoadU16 loads a 16-bit value.
-func (as *AddressSpace) LoadU16(addr Addr) (uint16, error) {
-	var b [2]byte
-	if err := as.Load(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b[:]), nil
-}
-
-// StoreU16 stores a 16-bit value.
-func (as *AddressSpace) StoreU16(addr Addr, v uint16) error {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	return as.Store(addr, b[:])
-}
-
-// LoadU8 loads one byte.
-func (as *AddressSpace) LoadU8(addr Addr) (byte, error) {
-	var b [1]byte
-	if err := as.Load(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-// StoreU8 stores one byte.
-func (as *AddressSpace) StoreU8(addr Addr, v byte) error {
-	b := [1]byte{v}
-	return as.Store(addr, b[:])
-}
-
-// LoadF64 loads a float64.
-func (as *AddressSpace) LoadF64(addr Addr) (float64, error) {
-	u, err := as.LoadU64(addr)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(u), nil
-}
-
-// StoreF64 stores a float64.
-func (as *AddressSpace) StoreF64(addr Addr, v float64) error {
-	return as.StoreU64(addr, math.Float64bits(v))
-}
-
-// LoadF32 loads a float32.
-func (as *AddressSpace) LoadF32(addr Addr) (float32, error) {
-	u, err := as.LoadU32(addr)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float32frombits(u), nil
-}
-
-// StoreF32 stores a float32.
-func (as *AddressSpace) StoreF32(addr Addr, v float32) error {
-	return as.StoreU32(addr, math.Float32bits(v))
 }
 
 // Raw access (simulator plumbing: setup, recovery, ground-truth checks).

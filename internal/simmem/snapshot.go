@@ -15,7 +15,7 @@
 // stores, allocator high-water marks, the cache model (residency changes
 // error visibility, so lines are restored verbatim, never flushed), the
 // virtual clock, the aggregate counters, and the observer registration
-// lists.
+// lists. The per-trial first-touch watch is cleared.
 
 package simmem
 
@@ -177,8 +177,10 @@ func (s *Snapshot) Restore() (int, error) {
 	}
 	as.clock.now = s.clock
 	as.counters = s.counters
-	// Observers registered after the capture (per-trial trackers and
-	// trace adapters) are dropped; retained ones get a trial reset.
+	// Observers registered after the capture (per-trial watchdogs and
+	// trace adapters) and the first-touch watch are dropped; retained
+	// observers get a trial reset.
+	as.Watch(nil)
 	as.accessObs = as.accessObs[:s.nAccess]
 	as.eccObs = as.eccObs[:s.nECC]
 	if s.cache != nil && as.cache != nil {
